@@ -8,6 +8,7 @@ and shared between CI and local runs:
     python scripts/ci_checks.py chaos chaos-a.json
     python scripts/ci_checks.py fleet fleet-a.json fleet-b.json \
         --baseline BENCH_FLEET.json
+    python scripts/ci_checks.py golden --out golden-digests.json
 
 Each subcommand exits non-zero with a reason on the first failed
 assertion and prints a one-line OK summary otherwise.
@@ -267,6 +268,146 @@ def check_cc_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Committed golden-digest table, relative to the repository root.
+GOLDEN_TABLE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "tests", "data", "golden_digests.json",
+)
+
+#: Fleet sizing for the golden table: three hosts and a 20 ms arrival
+#: window put 40+ concurrent flows on at least one link direction in
+#: every fleet scenario, so the vectorized max-min solver (used from
+#: ``VEC_MAXMIN_THRESHOLD`` = 32 flows up) is under test, not only the
+#: scalar one.
+GOLDEN_FLEET_PARAMS = {
+    "hosts": 3, "flows": 128, "arrival_window": 0.02, "horizon": 60.0,
+}
+
+#: The CI smoke parameters of the ``faults`` and ``chaos`` entries.
+GOLDEN_CAMPAIGN_ARGS = {
+    "faults": ["faults", "--duration", "12", "--cut-at", "2",
+               "--cut-duration", "2", "--transfer-mb", "4", "--seed", "3",
+               "--jitter", "0", "--format", "json"],
+    "chaos": ["chaos", "--duration", "20", "--events", "5", "--seed", "3",
+              "--format", "json"],
+}
+
+
+def _blake2(data: bytes) -> str:
+    import hashlib
+
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _json_digest(doc: Any) -> str:
+    return _blake2(json.dumps(doc, sort_keys=True, default=str).encode())
+
+
+def golden_groups():
+    """``(group, thunk)`` pairs covering the deterministic catalog.
+
+    Each thunk runs one workload and returns ``{entry: digest}``.  The
+    groups are the six perf-equivalence snapshots, the checker stream
+    digests of every ``check`` workload, every ``fleet`` scenario and
+    the fault/chaos campaigns.  ``loopback`` is absent: it runs on real
+    sockets, so its output is not a function of its seed.
+    """
+    from repro.bench.perf import equivalence_workloads
+    from repro.bench.scenario import scenario_names
+
+    def snapshot(name, workload):
+        return lambda: {f"equivalence/{name}": _json_digest(workload()[1])}
+
+    def check(workload):
+        def run():
+            from repro.check import checking
+            from repro.check.workloads import run_workload
+
+            with checking() as chk:
+                run_workload(workload, size_mb=2.0, duration=4.0, seed=3)
+            doc = chk.document()
+            entries = {
+                f"check/{workload}/{stream}": body["digest"]
+                for stream, body in doc["streams"].items()
+            }
+            entries[f"check/{workload}/violations"] = _json_digest(doc["violations"])
+            return entries
+        return run
+
+    def fleet(scenario):
+        def run():
+            from repro.bench.fleet import _run_unit
+
+            unit = _run_unit(scenario, 0, dict(GOLDEN_FLEET_PARAMS))
+            assert unit["ok"], f"{scenario}: {unit.get('error')}"
+            return {f"fleet/{scenario}": _json_digest(unit)}
+        return run
+
+    def campaign(name):
+        def run():
+            import contextlib
+            import io
+            import tempfile
+
+            from repro.cli import main as repro_main
+
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, f"{name}.json")
+                with contextlib.redirect_stdout(io.StringIO()):
+                    repro_main(GOLDEN_CAMPAIGN_ARGS[name] + ["--output", out])
+                with open(out, "rb") as fh:
+                    return {f"campaign/{name}": _blake2(fh.read())}
+        return run
+
+    groups = [(f"equivalence/{name}", snapshot(name, workload))
+              for name, workload in equivalence_workloads(quick=True)]
+    groups += [(f"check/{name}", check(name))
+               for name in scenario_names(tag="check")]
+    groups += [(f"fleet/{name}", fleet(name))
+               for name in scenario_names(kind="fleet")]
+    groups += [(f"campaign/{name}", campaign(name)) for name in GOLDEN_CAMPAIGN_ARGS]
+    return groups
+
+
+def golden_table() -> Dict[str, str]:
+    """Recompute every golden entry (see :func:`golden_groups`)."""
+    table: Dict[str, str] = {}
+    for _, run in golden_groups():
+        table.update(run())
+    return dict(sorted(table.items()))
+
+
+def golden_drift(expected: Dict[str, str], actual: Dict[str, str]) -> list:
+    """One line per entry that moved, appeared or disappeared."""
+    lines = []
+    for key in sorted(set(expected) | set(actual)):
+        want, got = expected.get(key), actual.get(key)
+        if want != got:
+            lines.append(f"golden drift: {key}: {got} != {want}")
+    return lines
+
+
+def check_golden(args: argparse.Namespace) -> int:
+    """Recompute the golden-digest table and diff it against the committed one.
+
+    Every entry is a digest of a seeded, simulated run, so any change
+    to simulated behaviour shows up here by name.  ``--out`` writes the
+    recomputed table (the CI artifact, and how the table is regenerated).
+    """
+    actual = golden_table()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(actual, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    expected = _load(args.table)
+    drift = golden_drift(expected, actual)
+    for line in drift:
+        print(line, file=sys.stderr)
+    assert not drift, f"{len(drift)} of {len(expected)} golden digest(s) drifted"
+    print(f"golden OK: {len(actual)} digests match {args.table}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -312,6 +453,15 @@ def main(argv=None) -> int:
     p_cc.add_argument("--min-arms", type=int, default=3,
                       help="minimum distinct cc-* scenarios required")
     p_cc.set_defaults(func=check_cc_matrix)
+
+    p_golden = sub.add_parser(
+        "golden", help="recompute the golden-digest table and diff it"
+    )
+    p_golden.add_argument("--table", default=GOLDEN_TABLE,
+                          help="committed table to compare against")
+    p_golden.add_argument("--out", default=None,
+                          help="also write the recomputed table here")
+    p_golden.set_defaults(func=check_golden)
 
     args = parser.parse_args(argv)
     try:
