@@ -14,7 +14,7 @@
   faults + link cuts) exercising component supervision end to end.
 * :mod:`repro.bench.perf` — perf-regression harness: hot-path
   microbenchmarks, figure-shaped wall-clock suites, a baseline
-  regression gate, and the fastpath equivalence gate.
+  regression gate, and the RX-train equivalence gate.
 * :mod:`repro.bench.topology` — deterministic fleet-scale topology
   generation (star / fat-tree / wan-mesh) with per-link WAN specs.
 * :mod:`repro.bench.fleet` — fleet workloads (thousands of churning

@@ -15,9 +15,10 @@ Three jobs, one module:
   that dropped more than the allowed fraction.  Wall-clock seconds are
   recorded but never gated: they depend on workload size and machine.
 * **Prove equivalence** — :func:`run_equivalence` replays obs-instrumented
-  workloads with the fast paths on and off
+  workloads with the RX-train fast path on and off
   (:func:`repro.fastpath.disabled`) and byte-compares the snapshot
-  documents.  The optimizations are only acceptable while this gate holds.
+  documents.  The pure memoizations have no off switch; the golden-digest
+  table (``scripts/ci_checks.py golden``) pins their output instead.
 
 Run it via ``python -m repro perf`` (see ``docs/performance.md``).
 """
@@ -463,7 +464,7 @@ def equivalence_workloads(quick: bool = True) -> List[Tuple[str, Callable[[], An
 
 
 def run_equivalence(quick: bool = True) -> List[Tuple[str, bool]]:
-    """Byte-compare snapshots with the fast paths on vs. disabled.
+    """Byte-compare snapshots with RX trains on vs. disabled.
 
     Returns ``(workload, identical)`` per workload.  Any ``False`` means
     an optimization changed observable behaviour and must not ship.

@@ -121,8 +121,8 @@ def bisect_divergence(
     window start.  Phase 2 re-runs the pair with a capture window over
     the earliest divergent interval and compares captured events one by
     one.  ``streams`` defaults to every stream present in either run
-    except ``sim`` (raw heap pops legitimately differ across fastpath
-    configs that coalesce scheduler events).
+    except ``sim`` (raw heap pops legitimately differ when RX trains
+    coalesce scheduler events).
     """
     doc_a, doc_b = run_pair(None)
     if streams is None:

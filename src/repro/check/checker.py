@@ -214,8 +214,8 @@ class _SimHook:
     """Monotonic clock + no post-stop execution, plus the ``sim`` digest.
 
     The ``sim`` digest folds raw heap pops, so it legitimately differs
-    between fastpath configurations that coalesce scheduler events (e.g.
-    RX_TRAIN); cross-config comparison uses the other streams.
+    between RX_TRAIN on and off (trains coalesce scheduler events);
+    cross-config comparison uses the other streams.
     """
 
     __slots__ = ("checker", "last_time", "running", "stopped", "_digest")

@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--max-regression", type=float, default=0.30,
                       help="allowed fractional drop in gated rate metrics")
     perf.add_argument("--equivalence", action="store_true",
-                      help="run the fastpath-on vs. off snapshot equivalence gate "
-                           "instead of the measurement suites")
+                      help="run the RX-train on vs. off snapshot equivalence "
+                           "gate instead of the measurement suites")
     perf.add_argument("--profile", action="store_true",
                       help="run the suites under cProfile and print the top "
                            "functions by cumulative time (no gating)")
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("action", nargs="?", default="run",
                        choices=("run", "compare", "bisect", "mutate"),
                        help="run: workload with invariants on; compare: digest "
-                            "fastpath on vs. off; bisect: name the first "
+                            "RX trains on vs. off; bisect: name the first "
                             "divergent event; mutate: seeded-violation self-test")
     check.add_argument("--mutate", action="store_true",
                        help="alias for the 'mutate' action")
@@ -289,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--streams", default=None,
                        help="comma-separated digest streams to compare/bisect "
                             "(default: every stream except 'sim', whose raw "
-                            "heap pops legitimately differ across fast paths)")
+                            "heap pops legitimately differ when RX trains "
+                            "coalesce events)")
     check.add_argument("--perturb", type=int, default=None, metavar="N",
                        help="arm the seeded RX-train swap on the Nth eligible "
                             "append (fast-path fault for the bisect demo)")
@@ -692,7 +693,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
         if bad:
             print(f"equivalence gate FAILED: {', '.join(bad)}", file=sys.stderr)
             return 1
-        print("equivalence gate passed: fast paths are observationally identical")
+        print("equivalence gate passed: RX trains on and off are "
+              "observationally identical")
         return 0
 
     try:

@@ -1,46 +1,26 @@
-"""Feature flags for the hot-path fast paths.
+"""Feature flag for the one fast path that changes event structure.
 
 The performance pass keeps a hard invariant: *optimized runs produce
-byte-identical simulated results to the unoptimized paths*.  To make that
-claim testable, the memoization layers read module-level flags at the call
-site, and the equivalence gate (``repro perf --equivalence``) reruns the
-benchmark workloads with the flags off and byte-compares the observability
-snapshots.  See ``docs/performance.md``.
+byte-identical simulated results to the unoptimized paths*.  Pure
+memoizations (dispatch tables, serializer lookup, the kernel run queue,
+allocation epochs, the vectorized max-min solver) are unconditional;
+the committed golden-digest table (``scripts/ci_checks.py golden``)
+pins their output instead.  The one fast path left behind a flag
+coalesces events, so its reference path is a different event stream
+with the same observable results: the equivalence gate
+(``repro perf --equivalence``) and ``repro check compare`` rerun
+workloads with it off and byte-compare.  See ``docs/performance.md``.
 
 Flags
 -----
-``DISPATCH_CACHE``
-    Per-port dispatch tables memoized by concrete event type
-    (:meth:`repro.kompics.port.Port.matching_handlers`).
-``SERIALIZER_CACHE``
-    Per-concrete-type memoization of :meth:`SerializerRegistry.lookup`
-    plus the size-once/encode-once frame cache used by the send path.
 ``RX_TRAIN``
     Per-flow receive-side delivery trains in the fluid network model
     (one pump event per flow instead of one heap entry per in-flight
     message; see :class:`repro.netsim.connection.FlowState`).
-``RUN_QUEUE``
-    Near-future run queue in the simulation kernel: the monotone event
-    storm (flow-tx/flow-rx/scheduler chains) is kept in a tail-sorted
-    deque with amortized-O(1) ejection of out-of-order entries back to
-    the heap, and pops merge the two sorted sources
-    (:class:`repro.sim.Simulator`).  Pop order is unchanged — only
-    which container holds an entry differs.
-``ALLOC_EPOCH``
-    Epoch-cached link rate allocation: ``LinkDirection`` computes the
-    full tiered allocation map once per *allocation epoch* and
-    invalidates on activate/deactivate/spec-change/demand-dirty instead
-    of re-solving per flow per message
-    (:meth:`repro.netsim.link.LinkDirection.allocate_rate`).
-``VEC_MAXMIN``
-    numpy-vectorized progressive-filling max-min solver used above a
-    flow-count threshold, bit-equal to the scalar reference
-    (:func:`repro.netsim.link.max_min_allocation_vec`).  No-op when
-    numpy is unavailable.
 
-All flags default to on.  They gate *pure memoizations*: flipping them
-must never change simulated timestamps, event order, metric values or
-trace streams — only how much work the interpreter does to get there.
+The flag defaults to on.  Flipping it must never change simulated
+timestamps, metric values or trace streams, only how many kernel
+events carry them.
 """
 
 from __future__ import annotations
@@ -48,21 +28,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Tuple
 
-DISPATCH_CACHE: bool = True
-SERIALIZER_CACHE: bool = True
 RX_TRAIN: bool = True
-RUN_QUEUE: bool = True
-ALLOC_EPOCH: bool = True
-VEC_MAXMIN: bool = True
 
-_ALL: Tuple[str, ...] = (
-    "DISPATCH_CACHE",
-    "SERIALIZER_CACHE",
-    "RX_TRAIN",
-    "RUN_QUEUE",
-    "ALLOC_EPOCH",
-    "VEC_MAXMIN",
-)
+_ALL: Tuple[str, ...] = ("RX_TRAIN",)
 
 
 def flags() -> Dict[str, bool]:

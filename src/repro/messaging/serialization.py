@@ -15,7 +15,6 @@ import struct
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Optional, Tuple, Type
 
-from repro import fastpath
 from repro.errors import SerializationError
 from repro.messaging.address import Address, BasicAddress, VirtualAddress
 
@@ -50,8 +49,7 @@ class PickleSerializer(Serializer):
 class SerializerRegistry:
     """Type-id <-> serializer mapping with mro-based lookup.
 
-    Two memoization layers keep the per-message cost flat (both gated on
-    :data:`repro.fastpath.SERIALIZER_CACHE`):
+    Two memoization layers keep the per-message cost flat:
 
     * the MRO walk in :meth:`lookup` resolves once per concrete type and
       is cached (invalidated by :meth:`register`);
@@ -91,13 +89,11 @@ class SerializerRegistry:
     def lookup(self, obj: Any) -> Tuple[int, Serializer]:
         """Find the serializer for ``obj`` walking its mro."""
         cls = obj.__class__
-        if fastpath.SERIALIZER_CACHE:
-            entry = self._lookup_cache.get(cls)
-            if entry is None:
-                entry = self._resolve(cls)
-                self._lookup_cache[cls] = entry
-            return entry
-        return self._resolve(cls)
+        entry = self._lookup_cache.get(cls)
+        if entry is None:
+            entry = self._resolve(cls)
+            self._lookup_cache[cls] = entry
+        return entry
 
     def _resolve(self, cls: Type) -> Tuple[int, Serializer]:
         for base in cls.__mro__:
@@ -146,8 +142,7 @@ class SerializerRegistry:
             # Sizing requires encoding: build the full frame once.
             body = serializer.to_bytes(obj)
             frame = FRAME_HEADER.pack(type_id, len(body)) + body
-            if fastpath.SERIALIZER_CACHE:
-                self._sized_frame = (obj, frame)
+            self._sized_frame = (obj, frame)
             return len(frame)
         return FRAME_HEADER.size + serializer.wire_size(obj)
 

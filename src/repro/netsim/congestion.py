@@ -43,7 +43,7 @@ class CongestionControl(ABC):
     scavenger: bool = False
     #: True when ``demand_rate`` depends on ``now`` (not only on controller
     #: state), e.g. UDT's SYN-interval ramping.  The allocation-epoch cache
-    #: (``fastpath.ALLOC_EPOCH``) only reuses an allocation across
+    #: (:class:`~repro.netsim.link.LinkDirection`) only reuses an allocation across
     #: timestamps when every participating controller is time-invariant.
     demand_time_varying: bool = False
     def __init__(self) -> None:

@@ -153,15 +153,9 @@ class FlowState:
 
     def _start_next(self) -> None:
         msg = self.queue[0]
-        if fastpath.ALLOC_EPOCH:
-            # allocate_rate() never exceeds this flow's demand and already
-            # floors at 1.0, so min(demand, rate) == rate and the extra
-            # demand query is redundant (demand_rate is idempotent within
-            # a timestamp; skipping it cannot change controller state).
-            rate = self.link_dir.allocate_rate(self)
-        else:
-            rate = min(self.demand_rate(), self.link_dir.allocate_rate(self))
-            rate = max(rate, 1.0)
+        # allocate_rate() never exceeds this flow's demand and already
+        # floors at 1.0, so it is the transmit rate as is.
+        rate = self.link_dir.allocate_rate(self)
         self.busy = True
         duration = msg.size / rate
         self.sim.schedule(duration, self._complete, label="flow-tx")

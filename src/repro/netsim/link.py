@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro import fastpath
 from repro.check import get_checker
 from repro.obs import get_registry
 
@@ -154,11 +153,7 @@ def max_min_allocation_vec(demands: Sequence[float], capacity: float) -> List[fl
 
 def _max_min(demands: Sequence[float], capacity: float) -> List[float]:
     """Dispatch between the scalar and vectorized max-min solvers."""
-    if (
-        fastpath.VEC_MAXMIN
-        and _np is not None
-        and len(demands) >= VEC_MAXMIN_THRESHOLD
-    ):
+    if _np is not None and len(demands) >= VEC_MAXMIN_THRESHOLD:
         return max_min_allocation_vec(demands, capacity)
     return max_min_allocation(demands, capacity)
 
@@ -166,8 +161,8 @@ def _max_min(demands: Sequence[float], capacity: float) -> List[float]:
 class LinkDirection:
     """One direction of a link; tracks active flows for fair sharing.
 
-    Allocation epochs (``fastpath.ALLOC_EPOCH``)
-    --------------------------------------------
+    Allocation epochs
+    -----------------
     The tiered allocation (udp-cap pool → foreground max-min → scavenger
     leftover) is a pure function of the active-flow set, the link spec,
     the controllers' demand-relevant state, and — for time-varying
@@ -181,6 +176,11 @@ class LinkDirection:
     :class:`~repro.netsim.congestion.CongestionControl`) and a hit implies
     unchanged state (same epoch) and — when any participant is
     time-varying — the same timestamp.
+
+    :meth:`allocate_rate` has two paths: unchecked runs use the epoch
+    cache, and checked runs (an invariant checker installed) re-solve
+    every query through :meth:`_allocate_general`, which hands the full
+    demand and allocation maps to the feasibility invariant.
     """
 
     def __init__(self, spec: LinkSpec, name: str) -> None:
@@ -304,95 +304,28 @@ class LinkDirection:
             # so the hook must not re-query them).
             return self._allocate_general(flow)
         active = self._flows_tuple()
-        if fastpath.ALLOC_EPOCH:
-            if len(active) == 1 and active[0] is flow:
-                # Sole-flow queries gain nothing from the cache (the whole
-                # solve is four lines) but would pay its dict/tuple churn,
-                # so they keep the direct unrolled path.
-                spec = self.spec
-                demand = flow.demand_rate()
-                if flow.subject_to_udp_cap and spec.udp_cap is not None:
-                    cap = spec.udp_cap
-                    if demand > cap:
-                        demand = cap
-                bw = spec.bandwidth
-                if demand > bw:
-                    demand = bw
-                return demand if demand > 1.0 else 1.0
-            cache = self._alloc_cache
-            if cache is not None and cache[0] == self._epoch:
-                stamp = cache[1]
-                if stamp is None or stamp == flow.sim.clock._now:
-                    rate = cache[2].get(flow)
-                    if rate is not None:
-                        return rate
-            return self._allocate_epoch(flow)
         if len(active) == 1 and active[0] is flow:
             # Sole active flow (the bulk-transfer steady state): the tiers
-            # collapse to min(demand, caps), bit-identical to the general
-            # path below (max-min of one demand is min(demand, capacity)).
+            # collapse to min(demand, caps).  The whole solve is four
+            # lines, so it skips the epoch cache's dict/tuple churn.
+            spec = self.spec
             demand = flow.demand_rate()
-            if flow.subject_to_udp_cap and self.spec.udp_cap is not None:
-                cap = self.spec.udp_cap
+            if flow.subject_to_udp_cap and spec.udp_cap is not None:
+                cap = spec.udp_cap
                 if demand > cap:
                     demand = cap
-            bw = self.spec.bandwidth
+            bw = spec.bandwidth
             if demand > bw:
                 demand = bw
             return demand if demand > 1.0 else 1.0
-        if (
-            len(active) == 2
-            and not active[0].scavenger
-            and not active[1].scavenger
-            and (flow is active[0] or flow is active[1])
-        ):
-            # Two foreground flows (adaptive DATA's TCP + UDT mix): the
-            # general path below reduces to capping the UDP-pool members,
-            # then one two-flow max-min — same operations, same order, no
-            # dict/list churn.
-            f0, f1 = active
-            d0 = f0.demand_rate()
-            d1 = f1.demand_rate()
-            cap = self.spec.udp_cap
-            if cap is not None:
-                if f0.subject_to_udp_cap:
-                    if f1.subject_to_udp_cap:
-                        if d0 <= d1:
-                            half = cap / 2
-                            if d0 > half:
-                                d0 = half
-                            rest = cap - d0
-                            if d1 > rest:
-                                d1 = rest
-                        else:
-                            half = cap / 2
-                            if d1 > half:
-                                d1 = half
-                            rest = cap - d1
-                            if d0 > rest:
-                                d0 = rest
-                    else:
-                        full = cap / 1
-                        if d0 > full:
-                            d0 = full
-                elif f1.subject_to_udp_cap:
-                    full = cap / 1
-                    if d1 > full:
-                        d1 = full
-            bw = self.spec.bandwidth
-            if d0 <= d1:
-                half = bw / 2
-                a0 = d0 if d0 <= half else half
-                rest = bw - a0
-                a1 = d1 if d1 <= rest else rest
-            else:
-                half = bw / 2
-                a1 = d1 if d1 <= half else half
-                rest = bw - a1
-                a0 = d0 if d0 <= rest else rest
-            alloc = a0 if flow is f0 else a1
-            return alloc if alloc > 1.0 else 1.0
-        return self._allocate_general(flow)
+        cache = self._alloc_cache
+        if cache is not None and cache[0] == self._epoch:
+            stamp = cache[1]
+            if stamp is None or stamp == flow.sim.clock._now:
+                rate = cache[2].get(flow)
+                if rate is not None:
+                    return rate
+        return self._allocate_epoch(flow)
 
     def _query_flows(self, flow: "FlowState") -> Tuple["FlowState", ...]:
         """The flow set an allocation covers, in activation order."""
@@ -446,8 +379,8 @@ class LinkDirection:
     def _allocate_epoch(self, flow: "FlowState") -> float:
         """Compute and cache the full allocation map for this epoch.
 
-        Performs exactly the demand queries (count and order) the
-        reference path would make for one allocation, then records every
+        Performs exactly the demand queries (count and order)
+        :meth:`_allocate_general` makes for one allocation, then records every
         flow's floored rate so subsequent queries in the same epoch skip
         the solve entirely.  The cache is stamped with the current time
         when any participant's demand is time-varying; it is reusable

@@ -1,9 +1,12 @@
 """Vectorized max-min solver equivalence and allocation-epoch cache tests.
 
-The PR-8 fast paths promise *bit-identical* results: the numpy solver must
-reproduce the scalar reference exactly (same IEEE operations in the same
-order), and the epoch cache must never serve a stale allocation across an
-activate/deactivate/spec-change/demand-dirty boundary.
+The allocation fast paths promise *bit-identical* results: the numpy
+solver must reproduce the scalar reference exactly (same IEEE operations
+in the same order), and the epoch cache must never serve a stale
+allocation across an activate/deactivate/spec-change/demand-dirty
+boundary.  The references are the scalar solver (selected by raising
+``VEC_MAXMIN_THRESHOLD`` out of reach) and the uncached
+``LinkDirection._allocate_general``.
 """
 
 import math
@@ -14,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.netsim import Proto, WireMessage
 from repro.netsim.link import (
     LinkDirection,
@@ -130,8 +132,8 @@ class TestTieredVecEquivalence:
             ]
             demands = {f: f.demand_rate() for f in flows}
             vec_map = direction._tiered_allocation(flows, dict(demands))
-            with fastpath.disabled("VEC_MAXMIN"):
-                ref_map = direction._tiered_allocation(flows, dict(demands))
+        with _threshold(link_mod, 10**9):
+            ref_map = direction._tiered_allocation(flows, dict(demands))
         assert _bits([vec_map[f] for f in flows]) == _bits(
             [ref_map[f] for f in flows]
         )
@@ -155,8 +157,9 @@ class TestTieredVecEquivalence:
             for f in ref:
                 ref_dir.activate(f)
             fast_rates = [fast_dir.allocate_rate(f) for f in fast]
-            with fastpath.disabled():
-                ref_rates = [ref_dir.allocate_rate(f) for f in ref]
+        # Reference: uncached general path with the scalar solver.
+        with _threshold(link_mod, 10**9):
+            ref_rates = [ref_dir._allocate_general(f) for f in ref]
         assert _bits(fast_rates) == _bits(ref_rates)
 
 

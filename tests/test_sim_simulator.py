@@ -272,17 +272,81 @@ class TestIntrospection:
         assert sim.pending_events() == 2
 
 
+# Order-property inputs: continuous delays plus a few repeated values, so
+# exact-time ties (decided by seq alone) are common.
+_delay = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    st.sampled_from([0.0, 1.0, 2.5]),
+)
+_push = st.tuples(
+    st.sampled_from(["schedule", "schedule_at", "schedule_many", "cancel"]),
+    _delay,
+    st.integers(min_value=1, max_value=3),  # schedule_many batch size
+)
+
+
 class TestPropertyBased:
-    @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_execution_times_are_sorted(self, delays):
+    @given(
+        st.lists(
+            st.tuples(_push, st.lists(_push, max_size=3), st.booleans()),
+            min_size=1, max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_execution_times_are_sorted(self, plan):
+        """Strict ``(time, seq)`` execution order: the kernel's reference.
+
+        Mixes ``schedule``, ``schedule_at`` and ``schedule_many``, pushes
+        issued from inside callbacks (mostly out of order against the run
+        queue's tail, so they eject it into the heap) and cancellations,
+        both up front and from callbacks.  Every live event fires exactly
+        once, at its own time, and nothing cancelled fires.
+        """
         sim = Simulator()
-        seen = []
-        for d in delays:
-            sim.schedule(d, lambda: seen.append(sim.now))
+        executed = []
+        pending = {}  # seq -> handle, scheduled and neither fired nor cancelled
+        cancelled = set()
+
+        def fire(cell, children):
+            handle = cell[0]
+            assert sim.now == handle.time
+            executed.append((handle.time, handle.seq))
+            del pending[handle.seq]
+            for child in children:
+                push(child, ())
+
+        def push(spec, children):
+            kind, delay, count = spec
+            if kind == "cancel":
+                if pending:
+                    seq = max(pending)
+                    pending.pop(seq).cancel()
+                    cancelled.add(seq)
+                return []
+            cells = [[] for _ in range(count if kind == "schedule_many" else 1)]
+            callbacks = [lambda c=cell: fire(c, children) for cell in cells]
+            if kind == "schedule_many":
+                handles = sim.schedule_many(delay, callbacks)
+            elif kind == "schedule":
+                handles = [sim.schedule(delay, callbacks[0])]
+            else:
+                handles = [sim.schedule_at(sim.now + delay, callbacks[0])]
+            for cell, handle in zip(cells, handles):
+                cell.append(handle)
+                pending[handle.seq] = handle
+            return handles
+
+        for spec, children, cancel_now in plan:
+            handles = push(spec, children)
+            if cancel_now and handles:
+                pending.pop(handles[0].seq).cancel()
+                cancelled.add(handles[0].seq)
         sim.run()
-        assert seen == sorted(seen)
-        assert len(seen) == len(delays)
+
+        assert all(a < b for a, b in zip(executed, executed[1:]))
+        assert not pending
+        assert not cancelled & {seq for _, seq in executed}
+        assert sim.pending_events() == 0
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=30),
