@@ -227,6 +227,7 @@ class AioNetwork(ComponentDefinition):
         self.counters = {
             "sent": 0, "received": 0, "reflected": 0, "send_failures": 0,
             "batches": 0, "dups_suppressed": 0, "requeued": 0,
+            "rx_malformed": 0,
         }
 
         metrics = get_registry()
@@ -248,6 +249,9 @@ class AioNetwork(ComponentDefinition):
         self._m_reflected = metrics.counter("messaging.reflected_total", instance=instance)
         self._m_dups = metrics.counter(
             "messaging.aio.dups_suppressed_total", instance=instance
+        )
+        self._m_malformed = metrics.counter(
+            "messaging.aio.rx_malformed_total", instance=instance
         )
         self._m_requeued = metrics.counter(
             "messaging.aio.requeued_total", instance=instance
@@ -779,15 +783,31 @@ class AioNetwork(ComponentDefinition):
     def _on_frame(
         self, frame: bytes, key: Optional[Tuple[Endpoint, Transport]] = None
     ) -> None:
-        if len(frame) < EPOCH_HEADER.size:
-            return  # malformed: shorter than the epoch header
-        epoch, seq = EPOCH_HEADER.unpack_from(frame)
+        # Decode before admitting the stamp: a corrupt or forged frame
+        # must neither use up its (epoch, seq) slot in the dedup window
+        # nor raise out of the transport's read loop.
+        stream = None
+        if key is not None:
+            peer, transport = key
+            stream = f"{peer[0]}:{peer[1]}/{transport.value}"
+        try:
+            epoch, seq = EPOCH_HEADER.unpack_from(frame)
+            msg = self.serializers.deserialize(
+                self.compression.decompress(frame[EPOCH_HEADER.size:])
+            )
+        except Exception as exc:  # noqa: BLE001 - wire input is untrusted
+            self.counters["rx_malformed"] += 1
+            if self._obs:
+                self._m_malformed.inc()
+            self.tracer.event(
+                "messaging.aio.rx_malformed",
+                peer=stream, error=type(exc).__name__,
+            )
+            return
         if key is not None:
             window = self._dedup.get(key)
             if window is None:
                 window = self._dedup[key] = _DedupWindow(self.dedup_window)
-            peer, transport = key
-            stream = f"{peer[0]}:{peer[1]}/{transport.value}"
             if not window.admit(epoch, seq):
                 self.counters["dups_suppressed"] += 1
                 if self._obs:
@@ -799,9 +819,6 @@ class AioNetwork(ComponentDefinition):
                 return
             if self._check is not None:
                 self._check.on_aio_delivery(self._instance, stream, epoch, seq)
-        msg = self.serializers.deserialize(
-            self.compression.decompress(frame[EPOCH_HEADER.size:])
-        )
         self.counters["received"] += 1
         if self._obs:
             self._m_received.inc()

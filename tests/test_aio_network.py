@@ -7,6 +7,8 @@ import time
 import pytest
 
 from repro.aio import AioNetwork
+from repro.aio.network import EPOCH_HEADER
+from repro.aio.tcp import LENGTH
 from repro.apps import register_app_serializers
 from repro.kompics import ComponentDefinition, KompicsSystem
 from repro.messaging import (
@@ -19,6 +21,7 @@ from repro.messaging import (
     Transport,
     VirtualAddress,
 )
+from repro.messaging.serialization import pack_address
 
 from tests.messaging_helpers import Blob, BlobSerializer
 
@@ -168,3 +171,47 @@ class TestAioNetwork:
         send_blob(app_a, addr_a, addr_b, "d", Transport.UDP)
         assert app_b.definition.wait(lambda: len(app_b.definition.received) == 3)
         assert sorted(m.tag for m in app_b.definition.received) == ["d", "t", "u"]
+
+
+class TestMalformedFrames:
+    """A frame that fails to decode is a counted drop, never a lost stamp."""
+
+    def _dial(self, addr_b, sender):
+        sock = socket.create_connection((addr_b.ip, addr_b.port), timeout=5.0)
+        hello = pack_address(sender)
+        sock.sendall(LENGTH.pack(len(hello)) + hello)
+        return sock
+
+    def test_garbage_does_not_consume_the_genuine_stamp(self, two_nodes):
+        _, _, (addr_b, net_b, app_b) = two_nodes
+        sender = BasicAddress(HOST, free_port())
+        stamp = EPOCH_HEADER.pack(7, 0)
+        # type id 0xffff is never registered: deserialize must fail
+        garbage = stamp + b"\xff\xff\x00\x00\x00\x02zz"
+        genuine = stamp + net_b.definition.serializers.serialize(
+            Blob(BasicHeader(sender, addr_b, Transport.TCP), "genuine", 100)
+        )
+        with self._dial(addr_b, sender) as sock:
+            for frame in (garbage, genuine):
+                sock.sendall(LENGTH.pack(len(frame)) + frame)
+            assert app_b.definition.wait(lambda: len(app_b.definition.received) == 1)
+        assert app_b.definition.received[0].tag == "genuine"
+        assert net_b.definition.counters["rx_malformed"] == 1
+        assert net_b.definition.counters["dups_suppressed"] == 0
+
+    def test_short_and_corrupt_frames_keep_the_channel_open(self, two_nodes):
+        _, _, (addr_b, net_b, app_b) = two_nodes
+        sender = BasicAddress(HOST, free_port())
+        frames = [
+            b"\x00\x01",  # shorter than the epoch header
+            EPOCH_HEADER.pack(1, 0) + b"\x00\x64\x00\x00\x00\x09trunc",
+            EPOCH_HEADER.pack(1, 1) + net_b.definition.serializers.serialize(
+                Blob(BasicHeader(sender, addr_b, Transport.TCP), "after", 100)
+            ),
+        ]
+        with self._dial(addr_b, sender) as sock:
+            for frame in frames:
+                sock.sendall(LENGTH.pack(len(frame)) + frame)
+            assert app_b.definition.wait(lambda: len(app_b.definition.received) == 1)
+        assert app_b.definition.received[0].tag == "after"
+        assert net_b.definition.counters["rx_malformed"] == 2
